@@ -43,7 +43,7 @@ constexpr double kZipfTheta = 0.8;
 constexpr uint32_t kScanEveryN = 10;
 constexpr uint64_t kScanSpanKeys = 4096;
 // Enough closed-loop clients that the capacity probe is throughput-bound
-// (saturated workers) rather than latency-bound by the batch window.
+// (saturated workers) rather than latency-bound by one client round trip.
 constexpr int kClosedLoopClients = 16;
 constexpr int kGenerators = 2;  // open-loop submitter threads
 
@@ -52,7 +52,6 @@ ServiceOptions MakeOptions(bool admission) {
   opts.worker_threads = 2;
   opts.max_batch = 64;
   opts.dispatch_max = 64;
-  opts.batch_window_nanos = 50'000;
   if (admission) {
     opts.admission.max_queue_depth = 512;
     opts.admission.per_tenant_quota = 256;

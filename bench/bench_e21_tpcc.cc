@@ -109,8 +109,6 @@ TrialResult RunTrial(PosixFileBackend* fs, const std::string& dir,
   ServiceOptions sopts;
   sopts.policy = std::make_shared<hwstar::svc::OverloadPolicy>();
   sopts.worker_threads = threads;
-  sopts.max_pending_batches = 2 * threads;
-  sopts.batch_window_nanos = 0;  // txns are singleton batches; don't linger
   Service service(sopts, db.value().get());
 
   std::atomic<uint64_t> committed{0};

@@ -1,8 +1,10 @@
 #include "hwstar/svc/admission.h"
 
-#include <chrono>
-
 namespace hwstar::svc {
+
+namespace {
+constexpr auto kRelaxed = std::memory_order_relaxed;
+}  // namespace
 
 AdmissionQueue::AdmissionQueue(AdmissionOptions options)
     : options_(options) {}
@@ -27,7 +29,8 @@ Status AdmissionQueue::TryAdmit(TicketPtr& ticket, Priority min_priority) {
       return Status::ResourceExhausted(
           "load shed: priority below overload floor");
     }
-    if (options_.max_queue_depth != 0 && depth_ >= options_.max_queue_depth) {
+    if (options_.max_queue_depth != 0 &&
+        depth_.load(kRelaxed) >= options_.max_queue_depth) {
       ++stats_.shed_queue_full;
       return Status::ResourceExhausted("load shed: admission queue full");
     }
@@ -40,48 +43,47 @@ Status AdmissionQueue::TryAdmit(TicketPtr& ticket, Priority min_priority) {
       }
     }
     if (options_.memory_budget_bytes != 0 &&
-        queued_bytes_ + ticket->estimated_bytes >
+        queued_bytes_.load(kRelaxed) + ticket->estimated_bytes >
             options_.memory_budget_bytes) {
       ++stats_.shed_memory;
       return Status::ResourceExhausted("load shed: memory budget exceeded");
     }
     ++stats_.admitted;
-    ++depth_;
+    depth_.store(depth_.load(kRelaxed) + 1, kRelaxed);
     ++tenant_depth_[req.tenant];
-    queued_bytes_ += ticket->estimated_bytes;
+    queued_bytes_.store(queued_bytes_.load(kRelaxed) + ticket->estimated_bytes,
+                        kRelaxed);
     queues_[static_cast<uint8_t>(req.priority)].push_back(std::move(ticket));
   }
   cv_.notify_one();
   return Status::OK();
 }
 
-bool AdmissionQueue::PopBatch(std::vector<TicketPtr>* out, uint32_t max,
-                              uint64_t batch_window_nanos) {
+bool AdmissionQueue::PopBatch(std::vector<TicketPtr>* out, uint32_t max) {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return depth_ > 0 || closed_; });
-  if (depth_ == 0) return false;  // closed and drained
-  if (batch_window_nanos > 0 && depth_ < max && !closed_) {
-    // Linger briefly for batch-mates; bail as soon as the batch is full.
-    cv_.wait_for(lock, std::chrono::nanoseconds(batch_window_nanos),
-                 [this, max] { return depth_ >= max || closed_; });
-  }
+  cv_.wait(lock, [this] { return depth_.load(kRelaxed) > 0 || closed_; });
+  uint32_t depth = depth_.load(kRelaxed);
+  if (depth == 0) return false;  // closed and drained
+  uint64_t bytes = queued_bytes_.load(kRelaxed);
   // Highest priority first, FIFO within each priority.
   for (int p = kNumPriorities - 1; p >= 0 && out->size() < max; --p) {
     auto& q = queues_[p];
     while (!q.empty() && out->size() < max) {
       TicketPtr t = std::move(q.front());
       q.pop_front();
-      --depth_;
+      --depth;
       auto td = tenant_depth_.find(t->request.tenant);
       if (td != tenant_depth_.end() && --td->second == 0) {
         // Erase drained tenants: leaving zero-count entries behind grows
         // the map without bound under tenant churn.
         tenant_depth_.erase(td);
       }
-      queued_bytes_ -= t->estimated_bytes;
+      bytes -= t->estimated_bytes;
       out->push_back(std::move(t));
     }
   }
+  depth_.store(depth, kRelaxed);
+  queued_bytes_.store(bytes, kRelaxed);
   return true;
 }
 
@@ -96,16 +98,6 @@ void AdmissionQueue::Close() {
 void AdmissionQueue::NoteExpired(uint64_t n) {
   std::lock_guard<std::mutex> lock(mutex_);
   stats_.expired_in_queue += n;
-}
-
-uint32_t AdmissionQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return depth_;
-}
-
-uint64_t AdmissionQueue::queued_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queued_bytes_;
 }
 
 uint32_t AdmissionQueue::tenant_depth(uint32_t tenant) const {

@@ -2,6 +2,7 @@
 #define HWSTAR_SVC_ADMISSION_H_
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -51,7 +52,7 @@ struct AdmissionStats {
 struct Ticket {
   Request request;
   uint64_t submit_nanos = 0;     ///< stamped by Service::Submit
-  uint64_t admit_nanos = 0;      ///< stamped when the dispatcher pops it
+  uint64_t admit_nanos = 0;      ///< stamped when a worker pops it
   uint64_t estimated_bytes = 0;  ///< EstimatedRequestBytes at submit
   std::promise<Response> promise;
 };
@@ -61,8 +62,8 @@ using TicketPtr = std::unique_ptr<Ticket>;
 /// A bounded, priority-ordered MPMC admission queue: the "never
 /// unbounded growth" discipline of McKenney's bounded shared queues.
 /// Producers (client threads) call TryAdmit and are rejected — never
-/// blocked — when a bound would be exceeded; the consumer (dispatcher)
-/// pops batches, highest priority first, FIFO within a priority.
+/// blocked — when a bound would be exceeded; consumers (the service's
+/// workers) pop batches, highest priority first, FIFO within a priority.
 /// Thread-safe.
 class AdmissionQueue {
  public:
@@ -76,21 +77,23 @@ class AdmissionQueue {
   Status TryAdmit(TicketPtr& ticket, Priority min_priority = Priority::kLow);
 
   /// Pops up to `max` tickets into `out`, blocking until at least one is
-  /// available or Close() was called. When fewer than `max` are queued and
-  /// `batch_window_nanos` > 0, lingers up to that long for more arrivals
-  /// so per-batch fixed costs amortize over fuller batches.
+  /// available or Close() was called. Never lingers for batch-mates: the
+  /// batch is whatever backlog queued up while the caller was busy.
   /// Returns false only when closed and drained.
-  bool PopBatch(std::vector<TicketPtr>* out, uint32_t max,
-                uint64_t batch_window_nanos = 0);
+  bool PopBatch(std::vector<TicketPtr>* out, uint32_t max);
 
   /// Wakes poppers; subsequent TryAdmit calls are rejected.
   void Close();
 
-  /// Counts a request that expired after admission (dispatcher-side).
+  /// Counts a request that expired after admission (worker-side).
   void NoteExpired(uint64_t n);
 
-  uint32_t depth() const;
-  uint64_t queued_bytes() const;
+  /// Lock-free reads of the queue's fill: advisory overload signals, so a
+  /// value a few pushes or pops stale is as good as an exact one.
+  uint32_t depth() const { return depth_.load(std::memory_order_relaxed); }
+  uint64_t queued_bytes() const {
+    return queued_bytes_.load(std::memory_order_relaxed);
+  }
   uint32_t tenant_depth(uint32_t tenant) const;
   /// Tenants with queued requests right now. Bounded by depth(): entries
   /// are erased when a tenant's last queued request is popped, so tenant
@@ -107,8 +110,9 @@ class AdmissionQueue {
   /// One FIFO per priority; index = static_cast<uint8_t>(Priority).
   std::array<std::deque<TicketPtr>, kNumPriorities> queues_;
   std::unordered_map<uint32_t, uint32_t> tenant_depth_;
-  uint32_t depth_ = 0;
-  uint64_t queued_bytes_ = 0;
+  /// Written only under mutex_; atomic so depth()/queued_bytes() skip it.
+  std::atomic<uint32_t> depth_{0};
+  std::atomic<uint64_t> queued_bytes_{0};
   bool closed_ = false;
   AdmissionStats stats_;
 };

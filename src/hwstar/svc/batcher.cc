@@ -91,10 +91,10 @@ std::vector<Batch> Batcher::Group(std::vector<TicketPtr> tickets) const {
                      });
     for (size_t begin = 0; begin < group.size();) {
       size_t end = std::min(group.size(), begin + options_.max_batch);
-      // Never split a run of equal keys across batches: batches for the
-      // same shard may execute concurrently on different pool workers, so
-      // a split run could apply the later-submitted write first — exactly
-      // the reordering the stable sort exists to prevent. The rule covers
+      // Never split a run of equal keys across batches: a batch is the
+      // unit of execution order, so a split run would leave the order of
+      // its halves to whoever runs the batches — exactly the reordering
+      // the stable sort exists to prevent. The rule covers
       // ALL write ops on the key, not just puts: a put+delete pair split
       // across batches could resurrect a deleted key.
       while (end < group.size() &&

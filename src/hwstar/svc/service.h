@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "hwstar/exec/executor.h"
 #include "hwstar/obs/registry.h"
 #include "hwstar/kv/kv_store.h"
 #include "hwstar/svc/admission.h"
@@ -34,25 +33,14 @@ struct ServiceOptions {
   AdmissionOptions admission;
   /// max_batch for the batcher; kv_shards is taken from the backing store.
   uint32_t max_batch = 64;
-  /// Workers executing batches (the cores the service owns).
+  /// Service threads; each pops the admission queue and executes what it
+  /// popped inline (the cores the service owns; 0 = hardware concurrency).
   uint32_t worker_threads = 2;
-  /// Pin each worker to its own logical core (topology-driven). The
-  /// serving cores then stay cache-warm across batches and NUMA
-  /// first-touch placement is stable; leave off when co-running with
-  /// other pools on a small host.
-  bool pin_workers = false;
-  /// How long the dispatcher lingers for batch-mates when the queue holds
-  /// fewer than a full batch. The knob trading a little latency for
-  /// amortized fixed costs.
-  uint64_t batch_window_nanos = 50'000;
-  /// Max tickets the dispatcher pops per round (>= max_batch keeps the
-  /// batcher fed with grouping candidates).
+  /// Max tickets a worker pops per round (>= max_batch keeps the batcher
+  /// fed with grouping candidates). There is no batch window: a worker
+  /// pops only when it is free, so the batch is the backlog that queued
+  /// while every worker was busy — large under load, one when idle.
   uint32_t dispatch_max = 64;
-  /// Bound on batches queued at the worker pool (0 = unbounded). When the
-  /// pool is full the dispatcher stops popping, so overload backs up into
-  /// the admission queue — the place with quotas and shedding — instead of
-  /// hiding in an unbounded execution queue where control can't reach it.
-  uint32_t max_pending_batches = 8;
   /// Degradation policy; null installs StepDownOverloadPolicy.
   std::shared_ptr<const OverloadPolicy> policy;
   /// Tunable overrides applied (in order) through tune::Registry at
@@ -66,12 +54,15 @@ struct ServiceOptions {
 /// The hardware-conscious request-serving front end: clients submit typed
 /// requests from any thread; the service admits them against bounded
 /// queues (backpressure instead of unbounded growth), batches compatible
-/// ones to amortize per-request fixed costs, executes on a fixed worker
-/// pool sized to the machine, and accounts every request's life
+/// ones to amortize per-request fixed costs, executes on a fixed set of
+/// worker threads sized to the machine, and accounts every request's life
 /// phase-by-phase so p50/p99 and shed rate are first-class outputs.
 ///
-/// Pipeline: Submit → AdmissionQueue → dispatcher (batch window) →
-/// Batcher → Executor workers → KvStore / engine::ExecuteJoin.
+/// Pipeline: Submit → AdmissionQueue → worker (Batcher) → kv / dur /
+/// engine. Each worker pops up to dispatch_max tickets, groups them and
+/// runs the groups itself, so a request crosses one thread hand-off and
+/// the backlog never leaves the admission queue, the one stage with
+/// quotas and shedding.
 class Service {
  public:
   /// `kv` backs point-get, put and scan requests (may be null when only
@@ -90,7 +81,7 @@ class Service {
   /// Borrowed; must outlive the service.
   Service(ServiceOptions options, dur::DurableKvStore* durable);
 
-  /// Drains in-flight work, then stops dispatcher and workers.
+  /// Drains in-flight work, then stops the workers.
   ~Service();
 
   Service(const Service&) = delete;
@@ -113,7 +104,7 @@ class Service {
   void PrintReport(const std::string& title) const;
 
   /// Text exposition of every registered service metric (latency
-  /// histograms, completion counters, worker-pool counters) — the
+  /// histograms, completion and batch counters) — the
   /// scrape-style view of the obs registry — followed by the current
   /// tunable values, so a scrape records the knob configuration that
   /// produced the numbers next to the numbers themselves.
@@ -133,7 +124,7 @@ class Service {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  void DispatcherLoop();
+  void WorkerLoop();
   void ExecuteBatch(Batch* batch);
   void ExecuteOne(const Request& request, const OverloadSignals& signals,
                   Response* response);
@@ -156,7 +147,6 @@ class Service {
   std::shared_ptr<const OverloadPolicy> policy_;
   AdmissionQueue queue_;
   Batcher batcher_;
-  exec::Executor pool_;
 
   std::atomic<uint64_t> accepted_{0};   ///< admitted into the queue
   std::atomic<uint64_t> finished_{0};   ///< completed or shed post-admit
@@ -175,7 +165,7 @@ class Service {
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 
-  std::thread dispatcher_;  ///< last member: started after everything else
+  std::vector<std::thread> workers_;  ///< last member: started after the rest
 };
 
 }  // namespace hwstar::svc

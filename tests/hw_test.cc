@@ -83,7 +83,7 @@ TEST(MachineModelTest, ToStringIsInformative) {
 TEST(CycleCounterTest, MonotonicNonDecreasing) {
   uint64_t a = ReadCycleCounter();
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 10000; ++i) sink += static_cast<uint64_t>(i);
+  for (int i = 0; i < 10000; ++i) sink = sink + static_cast<uint64_t>(i);
   uint64_t b = ReadCycleCounter();
   EXPECT_GE(b, a);
 }

@@ -337,7 +337,6 @@ TEST(ServiceTest, BatchedResultsIdenticalToUnbatched) {
   {
     ServiceOptions opts = NoDegradeOptions();
     opts.max_batch = 32;
-    opts.batch_window_nanos = 2'000'000;
     Service service(opts, &store);
     futures.reserve(requests.size());
     for (const Request& r : requests) futures.push_back(service.Submit(r));
@@ -412,7 +411,6 @@ TEST(ServiceTest, DurablePutsFlowThroughWalAndSurviveReopen) {
 
     ServiceOptions opts = NoDegradeOptions();
     opts.max_batch = 32;
-    opts.batch_window_nanos = 2'000'000;
     Service service(opts, db.value().get());
 
     // A concurrent flood so the batcher forms real put batches that ride
@@ -489,7 +487,6 @@ TEST(ServiceTest, OverloadShedsInsteadOfQueueingUnbounded) {
   opts.worker_threads = 1;
   opts.dispatch_max = 1;  // no batching: drain one aggregate at a time
   opts.max_batch = 1;
-  opts.batch_window_nanos = 0;
   kv::KvStore store;
   Service service(opts, &store);
 
@@ -667,10 +664,70 @@ TEST(ServiceTest, DumpMetricsTextExposesLiveMetrics) {
   EXPECT_NE(text.find("histogram svc.latency.total count=10"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("counter svc.pool.tasks_run"), std::string::npos)
+  EXPECT_NE(text.find("counter svc.batches "), std::string::npos) << text;
+  EXPECT_NE(text.find("counter svc.batched_requests 10\n"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("gauge svc.pool.queue_depth"), std::string::npos)
-      << text;
+}
+
+// Workers pop the admission queue themselves, so shutdown is the workers'
+// own lifecycle. Submits from several threads race Drain calls from the
+// others and the workers' pops. Each submitter ends with a tail of slow
+// aggregates, and the last one out destroys the service straight after
+// its final Submit, so ~Service starts with backlog queued and workers
+// mid-batch. It must finish every admitted request: each future resolves
+// OK with the right answer, none lost, none shed.
+TEST(ServiceTest, SubmitRacesDrainAndDestructionAcrossWorkers) {
+  kv::KvOptions kopts;
+  kopts.shards = 4;
+  kv::KvStore store(kopts);
+  for (uint64_t k = 0; k < 1000; ++k) store.Put(k, k + 7);
+  constexpr uint64_t kRows = 1 << 16;
+  storage::ColumnStore cs = MakeColumnStore(kRows);
+
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 4;
+  opts.admission.max_queue_depth = 0;  // unbounded: nothing may be shed
+  auto service = std::make_unique<Service>(opts, &store);
+
+  constexpr int kSubmitters = 4;
+  constexpr int kGets = 2000;
+  constexpr int kAggregates = 16;
+  auto key_of = [](int t, int i) {
+    return static_cast<uint64_t>(t * kGets + i) % 1000;
+  };
+  std::vector<std::vector<std::future<Response>>> futures(kSubmitters);
+  std::atomic<int> running{kSubmitters};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kGets; ++i) {
+        futures[t].push_back(service->Submit(Request::PointGet(
+            key_of(t, i), /*tenant=*/static_cast<uint32_t>(t))));
+        if (i % 256 == 128) service->Drain();
+      }
+      for (int i = 0; i < kAggregates; ++i) {
+        futures[t].push_back(service->Submit(
+            Request::Aggregate(&cs, nullptr, engine::Col(0))));
+      }
+      if (running.fetch_sub(1) == 1) service.reset();  // last one out
+    });
+  }
+  for (auto& s : submitters) s.join();
+  EXPECT_EQ(service, nullptr);
+
+  for (int t = 0; t < kSubmitters; ++t) {
+    ASSERT_EQ(futures[t].size(), static_cast<size_t>(kGets + kAggregates));
+    for (int i = 0; i < kGets + kAggregates; ++i) {
+      const Response r = futures[t][i].get();
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      if (i < kGets) {
+        EXPECT_EQ(r.value, key_of(t, i) + 7);
+      } else {
+        EXPECT_EQ(r.agg_rows, kRows);
+        EXPECT_EQ(r.agg_sum, static_cast<int64_t>(kRows * (kRows - 1) / 2));
+      }
+    }
+  }
 }
 
 // --- Deletes and transactions through the service -------------------------
@@ -745,7 +802,6 @@ TEST(ServiceTest, BatchedDeletesMatchSingletonSemantics) {
 
   ServiceOptions opts = NoDegradeOptions();
   opts.max_batch = 32;
-  opts.batch_window_nanos = 2'000'000;
   Service service(opts, db.value().get());
 
   // Even keys exist, odd keys never did.
