@@ -1,10 +1,11 @@
 // E15 -- group commit: amortizing the fsync. A sync costs the same
-// whether it covers 1 record or 500, so the WAL's syncer coalesces every
-// writer currently blocked on a commit into ONE write+sync. This bench
+// whether it covers 1 record or 500, so the WAL turns every writer that
+// staged while the previous sync ran into ONE write+sync. This bench
 // measures that directly on a real filesystem (PosixFileBackend in a
 // temp dir):
 //   per-op    group_commit=off -- every commit does its own write+fdatasync
-//   group     group_commit=on  -- writers stage + block, one syncer flushes
+//   group     group_commit=on  -- writers stage; the first waiter to find
+//                                 the device idle writes + syncs for all
 // Expected shape: per-op throughput is flat in the writer count (the sync
 // is the serial bottleneck and everyone queues behind it), while group
 // commit scales with writers because N concurrent commits share one sync.
@@ -131,13 +132,8 @@ int main() {
     per_op.group_commit = false;
     const TrialResult base = RunTrial(&fs, dir, trial_id++, writers, per_op);
 
-    LogWriterOptions grouped;
-    // Closed loop: once every writer is staged nobody else can arrive, so
-    // cap the linger at the writer count instead of burning the full
-    // fsync_interval_us per group.
-    grouped.fsync_every_n = static_cast<uint32_t>(writers);
     const TrialResult group =
-        RunTrial(&fs, dir, trial_id++, writers, grouped);
+        RunTrial(&fs, dir, trial_id++, writers, LogWriterOptions());
 
     writers_table.AddRow({std::to_string(writers), "per-op",
                           hwstar::perf::ReportTable::Num(base.commits_per_sec),
@@ -164,7 +160,6 @@ int main() {
        {SyncMode::kNone, SyncMode::kFdatasync, SyncMode::kFsync}) {
     LogWriterOptions opts;
     opts.sync = mode;
-    opts.fsync_every_n = 8;
     const TrialResult r = RunTrial(&fs, dir, trial_id++, /*writers=*/8, opts);
     sync_table.AddRow({SyncModeName(mode),
                        hwstar::perf::ReportTable::Num(r.commits_per_sec),

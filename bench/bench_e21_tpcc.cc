@@ -75,7 +75,6 @@ TrialResult RunTrial(PosixFileBackend* fs, const std::string& dir,
   dopts.kv.shards = 8;
   dopts.kv.latch_free_reads = latch_free;
   dopts.log_shards = 4;
-  dopts.log.fsync_interval_us = 20;
   const std::string prefix = dir + "/t" + std::to_string(trial_id) + "/db";
   std::error_code ec;
   std::filesystem::create_directories(dir + "/t" + std::to_string(trial_id),

@@ -22,8 +22,8 @@ struct DurableKvOptions {
   kv::KvOptions kv;
   /// WAL shards (power of two), range-mapped by high key bits like the
   /// kv shards so key-sorted batches touch contiguous logs. Each shard
-  /// has its own LogWriter (own syncer, own segment files), so the sync
-  /// serialization point scales with devices, not with one global log.
+  /// has its own LogWriter (own commit group, own segment files), so the
+  /// sync serialization point scales with devices, not with one global log.
   uint32_t log_shards = 1;
   LogWriterOptions log;
 };
@@ -43,8 +43,9 @@ struct WriteOp {
 /// in-memory store, making {append, apply} atomic — which is what lets a
 /// fuzzy checkpoint take `mark = last_lsn` under that same mutex and know
 /// every op at or below the mark is in the scanned state. The caller then
-/// waits for durability OUTSIDE the mutex, so writers stage while the
-/// syncer lingers: that overlap is the group-commit win.
+/// waits for durability OUTSIDE the mutex, so writers stage while a
+/// leader's sync is in flight and ride the next one together: that
+/// overlap is the group-commit win.
 ///
 /// Readers go straight to `kv()`; they may observe acked-but-not-yet-
 /// durable writes (speculative visibility — a crash can roll those back,

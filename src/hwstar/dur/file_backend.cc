@@ -1,6 +1,7 @@
 #include "hwstar/dur/file_backend.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -137,6 +138,10 @@ Result<std::string> PosixFileBackend::ReadFile(const std::string& path) {
     return ErrnoStatus("open", path);
   }
   std::string out;
+  // Size the buffer once: growing it by appends would hold up to twice a
+  // segment's bytes, and recovery reads segments whole.
+  struct stat st;
+  if (::fstat(fd, &st) == 0) out.reserve(static_cast<size_t>(st.st_size));
   char buf[1 << 16];
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));

@@ -26,7 +26,7 @@ enum class SyncMode : uint8_t {
 const char* SyncModeName(SyncMode mode);
 
 /// An append-only file handle. Implementations are not thread-safe; the
-/// owner (LogWriter's syncer, the checkpointer) serializes access.
+/// owner (LogWriter's I/O turn, the checkpointer) serializes access.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;

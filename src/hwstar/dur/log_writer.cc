@@ -73,20 +73,17 @@ LogWriter::LogWriter(FileBackend* backend, std::string prefix,
   // 4 KiB alignment: the staging buffers are the write-path source and
   // should respect device block granularity.
   active_.data = mem::MakeAlignedBuffer(options_.buffer_bytes, 4096);
-  syncing_.data = mem::MakeAlignedBuffer(options_.buffer_bytes, 4096);
-  HWSTAR_CHECK(active_.data != nullptr && syncing_.data != nullptr);
-  if (options_.group_commit) {
-    syncer_ = std::thread([this] { SyncerLoop(); });
-  }
+  writing_.data = mem::MakeAlignedBuffer(options_.buffer_bytes, 4096);
+  HWSTAR_CHECK(active_.data != nullptr && writing_.data != nullptr);
 }
 
 LogWriter::~LogWriter() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (poisoned_.ok() && durable_lsn_.load() < last_lsn()) {
+      (void)RunIoTurn(lock, /*sync=*/true);
+    }
   }
-  work_cv_.notify_all();
-  if (syncer_.joinable()) syncer_.join();
   if (segment_ != nullptr) (void)segment_->Close();
 }
 
@@ -95,61 +92,52 @@ Result<uint64_t> LogWriter::Append(WalRecord record) {
   scratch.clear();
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!poisoned_.ok()) return poisoned_;
+  // Make room before taking the LSN, so records stage in LSN order. The
+  // appender that finds the buffer full writes it out unsynced — the next
+  // leader's sync covers those bytes — so a bulk load keeps staging while
+  // the device works.
+  for (;;) {
+    if (!poisoned_.ok()) return poisoned_;
+    if (active_.used + kWalFrameHeaderBytes + kWalMaxPayloadBytes <=
+        options_.buffer_bytes) {
+      break;
+    }
+    if (io_in_progress_) {
+      turn_cv_.wait(lock);
+    } else {
+      (void)RunIoTurn(lock, /*sync=*/false);
+    }
+  }
 
   const uint64_t lsn = next_lsn_.fetch_add(1, kRelaxed);
   record.lsn = lsn;
   EncodeWalRecord(record, &scratch);
-  HWSTAR_CHECK(scratch.size() <= options_.buffer_bytes);
-
-  if (!options_.group_commit) {
-    // Per-op commit: this thread does its own write+sync, serialized by
-    // mutex_ — the baseline that pays the device's fixed cost per record.
-    const uint64_t io_start = NowNanos();
-    Status st = segment_->Append(scratch.data(), scratch.size());
-    if (st.ok()) st = segment_->Sync(options_.sync);
-    sync_batch_hist_.Record(1);
-    sync_latency_hist_.Record(NowNanos() - io_start);
-    stat_records_.fetch_add(1, kRelaxed);
-    stat_bytes_.fetch_add(scratch.size(), kRelaxed);
-    stat_groups_.fetch_add(1, kRelaxed);
-    if (!st.ok()) {
-      poisoned_ = st;
-      return st;
-    }
-    durable_lsn_.store(lsn);
-    return lsn;
-  }
-
-  // Group commit: stage and hand off to the syncer. Block only when both
-  // buffers are full — the device is saturated and backpressure is the
-  // only honest answer.
-  space_cv_.wait(lock, [&] {
-    return !poisoned_.ok() ||
-           active_.used + scratch.size() <= options_.buffer_bytes;
-  });
-  if (!poisoned_.ok()) return poisoned_;
-
-  if (active_.used == 0) first_pending_nanos_ = NowNanos();
   std::memcpy(active_.data.get() + active_.used, scratch.data(),
               scratch.size());
   active_.used += scratch.size();
-  active_.last_lsn = lsn;
-  ++active_.records;
   stat_records_.fetch_add(1, kRelaxed);
-  lock.unlock();
-  work_cv_.notify_one();
+  if (!options_.group_commit) {
+    HWSTAR_RETURN_IF_ERROR(RunIoTurn(lock, /*sync=*/true));
+  }
   return lsn;
 }
 
 Status LogWriter::WaitDurable(uint64_t lsn) {
   if (durable_lsn_.load() >= lsn) return Status::OK();
   std::unique_lock<std::mutex> lock(mutex_);
-  durable_cv_.wait(lock, [&] {
-    return !poisoned_.ok() || durable_lsn_.load() >= lsn;
-  });
-  if (durable_lsn_.load() >= lsn) return Status::OK();
-  return poisoned_;
+  while (durable_lsn_.load() < lsn) {
+    if (!poisoned_.ok()) return poisoned_;
+    if (io_in_progress_) {
+      // Follower: the running turn may not cover `lsn`; its end wakes us
+      // to re-check, and the first waiter to get the lock leads next.
+      turn_cv_.wait(lock);
+    } else {
+      // Leader: nothing is in flight, so one write + sync covers this
+      // record and every record staged with it.
+      (void)RunIoTurn(lock, /*sync=*/true);
+    }
+  }
+  return Status::OK();
 }
 
 Result<uint64_t> LogWriter::AppendDurable(WalRecord record) {
@@ -159,141 +147,73 @@ Result<uint64_t> LogWriter::AppendDurable(WalRecord record) {
   return lsn;
 }
 
-Status LogWriter::FlushBuffer(Buffer* buf) {
+Status LogWriter::RunIoTurn(std::unique_lock<std::mutex>& lock, bool sync) {
+  // Every assigned LSN is staged in active_ or already in the segment
+  // (LSNs are taken and staged under one hold of mutex_), so once
+  // active_ is written the segment holds everything through `written`.
+  const uint64_t written = last_lsn();
+  std::swap(active_, writing_);
+  io_in_progress_ = true;
+  // The per-op baseline keeps mutex_ through its I/O: appenders queue on
+  // the mutex, one record per write + sync, like a plain serial log.
+  const bool release = options_.group_commit;
+  if (release) lock.unlock();
+
   const uint64_t io_start = NowNanos();
-  Status st = segment_->Append(buf->data.get(), buf->used);
-  if (st.ok()) st = segment_->Sync(options_.sync);
-  sync_batch_hist_.Record(buf->records);
-  sync_latency_hist_.Record(NowNanos() - io_start);
-  stat_bytes_.fetch_add(buf->used, kRelaxed);
-  stat_groups_.fetch_add(1, kRelaxed);
-  return st;
-}
-
-void LogWriter::SyncerLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_cv_.wait(lock, [&] {
-      return stop_ || (!rotate_pending_ && active_.used > 0);
-    });
-    if (active_.used == 0) break;  // stop_ and drained
-    if (!poisoned_.ok()) break;
-
-    // Linger for batch-mates: an fsync covering 50 records costs the same
-    // as one covering 1, so waiting a bounded moment multiplies commit
-    // throughput at the device's latency floor.
-    if (!stop_ && options_.fsync_interval_us > 0 &&
-        (options_.fsync_every_n == 0 ||
-         active_.records < options_.fsync_every_n)) {
-      const uint64_t deadline_nanos =
-          first_pending_nanos_ + options_.fsync_interval_us * 1000;
-      work_cv_.wait_for(
-          lock,
-          std::chrono::nanoseconds(
-              deadline_nanos > NowNanos() ? deadline_nanos - NowNanos() : 0),
-          [&] {
-            return stop_ || !poisoned_.ok() ||
-                   (options_.fsync_every_n != 0 &&
-                    active_.records >= options_.fsync_every_n) ||
-                   active_.used * 2 >= options_.buffer_bytes;
-          });
-      if (!poisoned_.ok()) break;
-      // The linger released the lock, so a Rotate() may have sealed and
-      // flushed active_ itself in the meantime — re-check before
-      // swapping (swapping an empty buffer would regress durable_lsn_).
-      if (rotate_pending_ || active_.used == 0) continue;
-    }
-
-    std::swap(active_, syncing_);
-    first_pending_nanos_ = 0;
-    const uint64_t target = syncing_.last_lsn;
-    io_in_progress_ = true;
-    lock.unlock();
-
-    const Status st = FlushBuffer(&syncing_);
-
-    lock.lock();
-    io_in_progress_ = false;
-    syncing_.used = 0;
-    syncing_.records = 0;
-    if (!st.ok()) {
-      poisoned_ = st;
-      durable_cv_.notify_all();
-      space_cv_.notify_all();
-      break;
-    }
-    durable_lsn_.store(target);
-    durable_cv_.notify_all();
-    space_cv_.notify_all();
+  Status st = Status::OK();
+  if (writing_.used > 0) {
+    st = segment_->Append(writing_.data.get(), writing_.used);
   }
-  // Poisoned or stopping: release anyone still blocked.
-  durable_cv_.notify_all();
-  space_cv_.notify_all();
+  if (st.ok() && sync) st = segment_->Sync(options_.sync);
+  const uint64_t io_nanos = NowNanos() - io_start;
+
+  if (release) lock.lock();
+  io_in_progress_ = false;
+  stat_bytes_.fetch_add(writing_.used, kRelaxed);
+  writing_.used = 0;
+  if (!st.ok()) {
+    poisoned_ = st;
+  } else if (sync) {
+    sync_batch_hist_.Record(written - durable_lsn_.load(kRelaxed));
+    sync_latency_hist_.Record(io_nanos);
+    stat_groups_.fetch_add(1, kRelaxed);
+    durable_lsn_.store(written);
+  }
+  turn_cv_.notify_all();
+  return st;
 }
 
 Status LogWriter::Rotate() {
   std::unique_lock<std::mutex> lock(mutex_);
+  // Take the I/O turn, write and sync everything staged at this cut, then
+  // seal without releasing mutex_ again. Records staged while the sync ran
+  // land in the next segment, so rotation makes progress under sustained
+  // appends instead of waiting for the buffer to drain.
+  turn_cv_.wait(lock, [&] { return !io_in_progress_; });
   if (!poisoned_.ok()) return poisoned_;
-  if (options_.group_commit) {
-    // Seal at a captured cut rather than waiting for quiescence: under
-    // sustained append load active_ may never drain, so waiting for
-    // `used == 0` has no forward-progress guarantee. Instead hold off
-    // new syncer flushes (rotate_pending_), wait out the at-most-one
-    // in-flight flush, then flush whatever is staged right here.
-    // Appends arriving after the cut land in the next segment.
-    rotate_pending_ = true;
-    durable_cv_.wait(lock,
-                     [&] { return !poisoned_.ok() || !io_in_progress_; });
-    if (!poisoned_.ok()) {
-      rotate_pending_ = false;
-      work_cv_.notify_all();
-      return poisoned_;
-    }
-    if (active_.used > 0) {
-      std::swap(active_, syncing_);
-      const uint64_t target = syncing_.last_lsn;
-      first_pending_nanos_ = 0;
-      // I/O under mutex_ keeps the syncer and appenders off segment_
-      // for the duration; rotation is rare (checkpoints), so stalling
-      // the staging path briefly is the honest trade.
-      const Status flush = FlushBuffer(&syncing_);
-      syncing_.used = 0;
-      syncing_.records = 0;
-      if (!flush.ok()) {
-        poisoned_ = flush;
-        rotate_pending_ = false;
-        durable_cv_.notify_all();
-        space_cv_.notify_all();
-        work_cv_.notify_all();
-        return flush;
-      }
-      durable_lsn_.store(target);
-      durable_cv_.notify_all();
-      space_cv_.notify_all();
+  if (durable_lsn_.load() < last_lsn()) {
+    HWSTAR_RETURN_IF_ERROR(RunIoTurn(lock, /*sync=*/true));
+  }
+  // I/O under mutex_ keeps appenders and leaders off segment_ while it is
+  // swapped; rotation is rare (checkpoints), so the stall is the honest
+  // trade.
+  Status st = segment_->Close();
+  if (st.ok()) {
+    sealed_.emplace_back(segment_index_, durable_lsn_.load());
+    ++segment_index_;
+    auto file =
+        backend_->OpenForAppend(SegmentName(prefix_, segment_index_));
+    if (file.ok()) {
+      segment_ = std::move(file.value());
+    } else {
+      st = file.status();
     }
   }
-  const uint64_t sealed_last = next_lsn_.load(kRelaxed) - 1;
-  Status st = segment_->Close();
   if (!st.ok()) {
     poisoned_ = st;
-    rotate_pending_ = false;
-    work_cv_.notify_all();
     return st;
   }
-  sealed_.emplace_back(segment_index_, sealed_last);
-  ++segment_index_;
-  auto file = backend_->OpenForAppend(SegmentName(prefix_, segment_index_));
-  if (!file.ok()) {
-    poisoned_ = file.status();
-    rotate_pending_ = false;
-    work_cv_.notify_all();
-    return poisoned_;
-  }
-  segment_ = std::move(file.value());
   stat_rotations_.fetch_add(1, kRelaxed);
-  rotate_pending_ = false;
-  lock.unlock();
-  work_cv_.notify_all();
   return Status::OK();
 }
 

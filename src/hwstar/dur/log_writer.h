@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "hwstar/common/status.h"
@@ -18,27 +17,20 @@
 
 namespace hwstar::dur {
 
-/// Tuning for one log. The group-commit knobs are the hardware knobs: an
-/// fsync costs the same whether it covers 1 record or 500, so the syncer
-/// lingers up to `fsync_interval_us` (or until `fsync_every_n` records
-/// are pending) to amortize that fixed device cost across every writer
-/// currently blocked on a commit.
+/// Tuning for one log. There is no linger knob: an fsync costs the same
+/// whether it covers 1 record or 500, and every writer that stages while
+/// one sync is in flight rides the next one, so the backlog, not a timer,
+/// sets the group size.
 struct LogWriterOptions {
   SyncMode sync = SyncMode::kFdatasync;
-  /// Group commit on: writers enqueue and block while one syncer thread
-  /// coalesces pending records into a single write+sync. Off: every
-  /// commit performs its own write+sync under a lock — the per-op
-  /// baseline bench_e15 measures the group-commit win against.
+  /// Group commit on: the first waiter to find no I/O in progress writes
+  /// and syncs everything staged for itself and every other waiter. Off:
+  /// every commit performs its own write+sync — the per-op baseline
+  /// bench_e15 measures the group-commit win against.
   bool group_commit = true;
-  /// Sync as soon as this many records are pending (0 = sync whatever has
-  /// accumulated whenever the syncer is free).
-  uint32_t fsync_every_n = 0;
-  /// Max time the syncer lingers waiting for batch-mates once at least
-  /// one record is pending.
-  uint64_t fsync_interval_us = 100;
   /// Staging buffer capacity; 4 KiB-aligned via mem/aligned so the
   /// write-path source buffer respects device block granularity. Two of
-  /// these exist (active / syncing) so staging continues during a sync.
+  /// these exist (active / in I/O) so staging continues during a write.
   size_t buffer_bytes = 64 * 1024;
 };
 
@@ -59,15 +51,18 @@ struct LogWriterStats {
   }
 };
 
-/// A per-shard append-only write-ahead log with group commit.
+/// A per-shard append-only write-ahead log with leader/follower group
+/// commit.
 ///
 /// Concurrent writers call Append (cheap: assign a dense LSN and memcpy
 /// the framed record into the active staging buffer) and then
-/// WaitDurable(lsn), blocking on the commit sequence number. A single
-/// syncer thread swaps the staging buffers and turns every pending record
-/// into ONE backend write + sync — the McKenney move of amortizing the
-/// expensive serialization point (the sync) rather than the cheap one
-/// (the buffer append).
+/// WaitDurable(lsn). The first waiter that finds no I/O in progress
+/// becomes the leader: it swaps the staging buffers and turns every
+/// staged record into ONE backend write + sync, then wakes everyone.
+/// Waiters that arrive during that I/O are followers; the next of them
+/// to wake leads the next group. No thread is handed the work and nobody
+/// lingers — the McKenney move of amortizing the expensive serialization
+/// point (the sync) rather than queueing in front of it.
 ///
 /// The log is a sequence of segment files `<prefix>-<nnnnnn>.wal`;
 /// Rotate() seals the current segment (checkpointing rotates so
@@ -87,26 +82,29 @@ class LogWriter {
                                                  uint64_t next_lsn,
                                                  uint32_t next_segment);
 
-  /// Flushes pending records (best effort) and stops the syncer.
+  /// Makes staged records durable (best effort) and closes the segment.
   ~LogWriter();
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
   /// Stages the record (the writer fills in the LSN) and returns the
-  /// assigned LSN. Blocks only when both staging buffers are full (the
-  /// device is the bottleneck — backpressure, not unbounded memory).
+  /// assigned LSN. An appender that finds the staging buffer full writes
+  /// it to the segment itself, unsynced (the next leader's sync covers
+  /// it); it blocks only while another write is in flight (the device is
+  /// the bottleneck — backpressure, not unbounded memory).
   Result<uint64_t> Append(WalRecord record);
 
   /// Blocks until everything up to `lsn` is durable at the configured
   /// sync level, or the log is poisoned (returns the poisoning error).
+  /// When no I/O is in progress the caller performs the write + sync.
   Status WaitDurable(uint64_t lsn);
 
   /// Append + WaitDurable.
   Result<uint64_t> AppendDurable(WalRecord record);
 
-  /// Seals the current segment (flushing pending records) and starts the
-  /// next one.
+  /// Seals the current segment (writing and syncing everything staged)
+  /// and starts the next one.
   Status Rotate();
 
   /// Deletes sealed segments whose last LSN is <= `lsn`. The active
@@ -153,32 +151,26 @@ class LogWriter {
   struct Buffer {
     mem::AlignedBuffer data;
     size_t used = 0;
-    uint64_t last_lsn = 0;  ///< highest LSN staged in this buffer
-    uint32_t records = 0;
   };
 
-  void SyncerLoop();
-  /// Writes + syncs `buf` to the current segment; called outside mutex_
-  /// by whichever thread owns the I/O turn.
-  Status FlushBuffer(Buffer* buf);
+  /// One I/O turn, called with `lock` held and no turn in progress: swaps
+  /// the staging buffers, writes what was staged and, when `sync`, syncs
+  /// the segment (with mutex_ released under group commit), then
+  /// publishes the durable LSN (or poisons the log) and wakes every
+  /// waiter.
+  Status RunIoTurn(std::unique_lock<std::mutex>& lock, bool sync);
 
   FileBackend* backend_;
   const std::string prefix_;
   const LogWriterOptions options_;
 
-  std::mutex mutex_;                  ///< guards staging state
-  std::condition_variable space_cv_;  ///< staging room freed
-  std::condition_variable work_cv_;   ///< records pending / shutdown
-  std::condition_variable durable_cv_;
-  Buffer active_;
-  Buffer syncing_;
-  uint64_t first_pending_nanos_ = 0;  ///< when active_ went 0 -> nonzero
+  std::mutex mutex_;  ///< guards staging state and the I/O turn
+  /// Signalled at the end of every I/O turn. Threads sleep on it only
+  /// while a turn is in progress, so every sleeper gets a wake-up.
+  std::condition_variable turn_cv_;
+  Buffer active_;   ///< records staged since the last turn began
+  Buffer writing_;  ///< owned by the current turn's thread
   bool io_in_progress_ = false;
-  /// Rotate() is sealing: the syncer must not start a new flush, so the
-  /// rotation needs only wait out the (single) in-flight one — forward
-  /// progress even under sustained append load.
-  bool rotate_pending_ = false;
-  bool stop_ = false;
   Status poisoned_;  ///< first I/O error; OK while healthy
 
   std::unique_ptr<WritableFile> segment_;
@@ -197,8 +189,6 @@ class LogWriter {
   std::atomic<uint64_t> stat_groups_{0};
   std::atomic<uint64_t> stat_rotations_{0};
   std::atomic<uint64_t> stat_truncated_{0};
-
-  std::thread syncer_;  ///< last member: started after everything else
 };
 
 }  // namespace hwstar::dur

@@ -16,18 +16,20 @@ std::string ShardLogPrefix(const std::string& prefix, uint32_t shard) {
 
 namespace {
 
-/// One shard's collection pass. `next_apply` starts at mark+1; every
-/// decoded record below it is a skip, the record equal to it is collected,
-/// and any gap (or a record that fails to decode with more segments
-/// claiming later data) ends the shard's usable log. Collection is
-/// separate from application because transactional records cannot be
-/// judged shard-locally: a fragment in this shard is applied only if its
-/// commit record — possibly in another shard — survived, so every shard's
-/// usable prefix must be in hand before any effect is installed.
-Status CollectShard(FileBackend* backend, const std::string& shard_prefix,
-                    uint64_t mark, RecoveryInfo* info,
-                    std::vector<WalRecord>* usable, uint64_t* next_apply,
-                    uint32_t* next_segment) {
+/// Feeds one shard's usable records to `visit`, in LSN order.
+/// `next_apply` starts at mark+1; every decoded record below it is a skip,
+/// the record equal to it is usable, and any gap (or a record that fails
+/// to decode with more segments claiming later data) ends the shard's
+/// usable log. Only one segment's raw bytes are in memory at a time, and
+/// records are decoded one by one as they are visited. Recovery scans
+/// every shard twice — once to judge transactions, once to apply — so
+/// the per-pass bookkeeping (skips, torn segments, where the reopened
+/// writer continues) goes into `info` only when it is non-null.
+template <typename Visit>
+Status ScanShard(FileBackend* backend, const std::string& prefix,
+                 uint32_t shard, uint64_t mark, RecoveryInfo* info,
+                 const Visit& visit) {
+  const std::string shard_prefix = ShardLogPrefix(prefix, shard);
   auto listed = backend->List(shard_prefix);
   if (!listed.ok()) return listed.status();
 
@@ -44,38 +46,42 @@ Status CollectShard(FileBackend* backend, const std::string& shard_prefix,
   }
   std::sort(segments.begin(), segments.end());
 
-  *next_apply = mark + 1;
-  *next_segment = 0;
+  uint64_t next_apply = mark + 1;
+  uint32_t next_segment = 0;
   for (const auto& [index, path] : segments) {
-    *next_segment = index + 1;
+    next_segment = index + 1;
     auto raw = backend->ReadFile(path);
     if (!raw.ok()) return raw.status();
-    const WalDecodeResult decoded =
-        DecodeWalBuffer(raw.value().data(), raw.value().size());
-    if (!decoded.clean) ++info->torn_shards;
-    for (const WalRecord& record : decoded.records) {
-      if (record.lsn < *next_apply) {
-        ++info->records_skipped;
-        continue;
-      }
-      if (record.lsn != *next_apply) {
-        // A gap means the dense sequence broke — records within one
-        // segment are LSN-ordered, so nothing further in THIS segment is
-        // usable. Later segments are still scanned (not skipped): a prior
-        // recovery that stopped at this same gap re-issued the lost LSNs
-        // in a fresh higher-index segment, which resumes exactly at
-        // next_apply — the same resumption rule used after torn tails.
-        // Stale same-timeline segments past the gap only hold larger
-        // LSNs, so this check rejects them record-by-record.
-        break;
-      }
-      usable->push_back(record);
-      ++(*next_apply);
-    }
+    // A gap means the dense sequence broke — records within one segment
+    // are LSN-ordered, so nothing further in THIS segment is usable. Later
+    // segments are still scanned (not skipped): a prior recovery that
+    // stopped at this same gap re-issued the lost LSNs in a fresh
+    // higher-index segment, which resumes exactly at next_apply — the
+    // same resumption rule used after torn tails. Stale same-timeline
+    // segments past the gap only hold larger LSNs, so this check rejects
+    // them record-by-record.
+    bool gap = false;
+    const WalDecodeResult scanned = ScanWalBuffer(
+        raw.value().data(), raw.value().size(), [&](const WalRecord& record) {
+          if (gap) return;
+          if (record.lsn < next_apply) {
+            if (info != nullptr) ++info->records_skipped;
+          } else if (record.lsn != next_apply) {
+            gap = true;
+          } else {
+            visit(record);
+            ++next_apply;
+          }
+        });
+    if (info != nullptr && !scanned.clean) ++info->torn_shards;
     // A torn tail inside this segment does not end replay either: the
     // next segment may resume the dense sequence (a prior crash+recovery
     // reuses the lost LSNs in a fresh segment). If it does not, the
     // density check above rejects its records.
+  }
+  if (info != nullptr) {
+    info->next_lsn[shard] = next_apply;
+    info->next_segment[shard] = next_segment;
   }
   return Status::OK();
 }
@@ -89,95 +95,90 @@ Result<RecoveryInfo> Recover(FileBackend* backend, const std::string& prefix,
   info.next_segment.assign(log_shards, 0);
 
   std::vector<uint64_t> marks(log_shards, 0);
-  auto ckpt = ReadCheckpoint(backend, prefix);
-  if (ckpt.ok()) {
-    if (ckpt.value().marks.size() != log_shards) {
-      return Status::IoError("checkpoint shard count mismatch");
+  {
+    // Scoped so the snapshot's entries are freed before the log replays.
+    auto ckpt = ReadCheckpoint(backend, prefix);
+    if (ckpt.ok()) {
+      if (ckpt.value().marks.size() != log_shards) {
+        return Status::IoError("checkpoint shard count mismatch");
+      }
+      marks = ckpt.value().marks;
+      info.checkpoint_loaded = true;
+      info.checkpoint_entries = ckpt.value().entries.size();
+      for (const auto& [key, value] : ckpt.value().entries) {
+        store->Put(key, value);
+      }
+    } else if (ckpt.status().code() != StatusCode::kNotFound) {
+      return ckpt.status();
     }
-    marks = ckpt.value().marks;
-    info.checkpoint_loaded = true;
-    info.checkpoint_entries = ckpt.value().entries.size();
-    for (const auto& [key, value] : ckpt.value().entries) {
-      store->Put(key, value);
-    }
-  } else if (ckpt.status().code() != StatusCode::kNotFound) {
-    return ckpt.status();
   }
 
-  // Pass 1: collect every shard's usable record prefix. Uncommitted
-  // transaction fragments stay IN the prefix — they consumed LSNs like any
-  // other append, so dropping them from the sequence would break the
-  // density check for the committed records logged after them.
-  std::vector<std::vector<WalRecord>> usable(log_shards);
-  for (uint32_t shard = 0; shard < log_shards; ++shard) {
-    uint64_t next_apply = 0;
-    uint32_t next_segment = 0;
-    HWSTAR_RETURN_IF_ERROR(CollectShard(backend,
-                                        ShardLogPrefix(prefix, shard),
-                                        marks[shard], &info, &usable[shard],
-                                        &next_apply, &next_segment));
-    info.next_lsn[shard] = next_apply;
-    info.next_segment[shard] = next_segment;
-  }
-
-  // Pass 2a: decide transaction fates globally. A transaction's effects
+  // Pass 1: decide transaction fates globally. A transaction's effects
   // are installed only when its commit record survived AND every fragment
   // the commit promises decoded intact across all shards — a crash that
   // tore off any fragment (or the commit itself) drops the whole
-  // write-set, never a piece of it.
+  // write-set, never a piece of it. Uncommitted fragments stay in the
+  // usable prefix: they consumed LSNs like any other append, so dropping
+  // them from the sequence would break the density check for the
+  // committed records logged after them.
   std::unordered_map<uint64_t, uint64_t> commit_total;  // tid -> promised
   std::unordered_map<uint64_t, uint64_t> frag_count;    // tid -> surviving
-  for (const auto& shard_records : usable) {
-    for (const WalRecord& record : shard_records) {
-      if (record.txn > info.max_txn_id) info.max_txn_id = record.txn;
-      if (record.type == WalRecordType::kTxnCommit) {
-        commit_total[record.txn] = record.value;
-      } else if (IsTxnFragment(record.type)) {
-        ++frag_count[record.txn];
-      }
-    }
+  for (uint32_t shard = 0; shard < log_shards; ++shard) {
+    HWSTAR_RETURN_IF_ERROR(ScanShard(
+        backend, prefix, shard, marks[shard], &info,
+        [&](const WalRecord& record) {
+          if (record.txn > info.max_txn_id) info.max_txn_id = record.txn;
+          if (record.type == WalRecordType::kTxnCommit) {
+            commit_total[record.txn] = record.value;
+          } else if (IsTxnFragment(record.type)) {
+            ++frag_count[record.txn];
+          }
+        }));
   }
   auto txn_committed = [&](uint64_t tid) {
     auto it = commit_total.find(tid);
     return it != commit_total.end() && frag_count[tid] == it->second;
   };
 
-  // Pass 2b: apply. Plain records always apply; fragments apply only for
-  // committed transactions; framing records are no-ops. Per-shard LSN
-  // order is preserved, so a committed transaction's effect on a key and a
-  // later plain overwrite of the same key land in log order.
-  for (const auto& shard_records : usable) {
-    for (const WalRecord& record : shard_records) {
-      switch (record.type) {
-        case WalRecordType::kPut:
-          store->Put(record.key, record.value);
-          ++info.records_applied;
-          break;
-        case WalRecordType::kDelete:
-          store->Delete(record.key);
-          ++info.records_applied;
-          break;
-        case WalRecordType::kTxnPut:
-          if (txn_committed(record.txn)) {
-            store->Put(record.key, record.value);
-            ++info.records_applied;
-          } else {
-            ++info.txn_fragments_dropped;
+  // Pass 2: re-decode the same records and apply. Plain records always
+  // apply; fragments apply only for committed transactions; framing
+  // records are no-ops. Per-shard LSN order is preserved, so a committed
+  // transaction's effect on a key and a later plain overwrite of the same
+  // key land in log order.
+  for (uint32_t shard = 0; shard < log_shards; ++shard) {
+    HWSTAR_RETURN_IF_ERROR(ScanShard(
+        backend, prefix, shard, marks[shard], /*info=*/nullptr,
+        [&](const WalRecord& record) {
+          switch (record.type) {
+            case WalRecordType::kPut:
+              store->Put(record.key, record.value);
+              ++info.records_applied;
+              break;
+            case WalRecordType::kDelete:
+              store->Delete(record.key);
+              ++info.records_applied;
+              break;
+            case WalRecordType::kTxnPut:
+              if (txn_committed(record.txn)) {
+                store->Put(record.key, record.value);
+                ++info.records_applied;
+              } else {
+                ++info.txn_fragments_dropped;
+              }
+              break;
+            case WalRecordType::kTxnDelete:
+              if (txn_committed(record.txn)) {
+                store->Delete(record.key);
+                ++info.records_applied;
+              } else {
+                ++info.txn_fragments_dropped;
+              }
+              break;
+            case WalRecordType::kTxnBegin:
+            case WalRecordType::kTxnCommit:
+              break;
           }
-          break;
-        case WalRecordType::kTxnDelete:
-          if (txn_committed(record.txn)) {
-            store->Delete(record.key);
-            ++info.records_applied;
-          } else {
-            ++info.txn_fragments_dropped;
-          }
-          break;
-        case WalRecordType::kTxnBegin:
-        case WalRecordType::kTxnCommit:
-          break;
-      }
-    }
+        }));
   }
   for (const auto& [tid, total] : commit_total) {
     if (frag_count[tid] == total) {

@@ -54,13 +54,16 @@ struct RecoveryInfo {
 /// is the normal shape after a previous crash+recovery: the reopened
 /// writer reuses the lost LSNs in a fresh segment).
 ///
-/// Transactional records replay with whole-txn-or-nothing semantics:
-/// usable prefixes are first collected for ALL shards, then a
-/// transaction's kTxnPut/kTxnDelete fragments are applied only if its
-/// kTxnCommit record survived and the surviving fragment count matches
-/// the total the commit promises. Fragments of unproven transactions are
-/// suppressed (not applied) but still advance the dense LSN sequence, so
-/// later committed work in the same shard is unaffected.
+/// Transactional records replay with whole-txn-or-nothing semantics: a
+/// first pass over ALL shards' usable prefixes judges every transaction,
+/// then a second pass re-decodes and applies, installing a transaction's
+/// kTxnPut/kTxnDelete fragments only if its kTxnCommit record survived
+/// and the surviving fragment count matches the total the commit
+/// promises. Fragments of unproven transactions are suppressed (not
+/// applied) but still advance the dense LSN sequence, so later committed
+/// work in the same shard is unaffected. Only one segment is decoded at a
+/// time, so recovery's memory is bounded by the largest segment, not by
+/// the log.
 ///
 /// `store` must be empty. Fails with kIoError only on malformed
 /// checkpoint state (corrupt installed checkpoint, or checkpoint shard

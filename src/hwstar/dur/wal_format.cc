@@ -1,6 +1,7 @@
 #include "hwstar/dur/wal_format.h"
 
 #include <cstring>
+#include <utility>
 
 #include "hwstar/common/hash.h"
 
@@ -74,6 +75,16 @@ void EncodeWalRecord(const WalRecord& record, std::string* out) {
 }
 
 WalDecodeResult DecodeWalBuffer(const void* data, size_t len) {
+  std::vector<WalRecord> records;
+  WalDecodeResult result = ScanWalBuffer(
+      data, len, [&](const WalRecord& record) { records.push_back(record); });
+  result.records = std::move(records);
+  return result;
+}
+
+WalDecodeResult ScanWalBuffer(
+    const void* data, size_t len,
+    const std::function<void(const WalRecord&)>& visit) {
   WalDecodeResult result;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   size_t off = 0;
@@ -125,7 +136,7 @@ WalDecodeResult DecodeWalBuffer(const void* data, size_t len) {
       result.clean = false;  // unknown type or wrong size for type
       break;
     }
-    result.records.push_back(record);
+    visit(record);
     off += kWalFrameHeaderBytes + payload_len;
     result.valid_bytes = off;
   }

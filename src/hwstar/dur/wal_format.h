@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,13 @@ struct WalDecodeResult {
 /// Decodes records from the front of `data`, stopping at the first frame
 /// whose length is implausible or whose CRC fails.
 WalDecodeResult DecodeWalBuffer(const void* data, size_t len);
+
+/// DecodeWalBuffer that hands each intact record to `visit`, in order,
+/// instead of collecting it (`records` stays empty), so a replay holds
+/// only the raw bytes, never a decoded copy of them.
+WalDecodeResult ScanWalBuffer(
+    const void* data, size_t len,
+    const std::function<void(const WalRecord&)>& visit);
 
 }  // namespace hwstar::dur
 

@@ -163,9 +163,11 @@ void Pipeline::DrainPartition(uint32_t p) {
     FinishOne();
   }
   // Last action touching the pipeline: after this decrement hits zero
-  // (with outstanding_ also zero) the pipeline may be destroyed.
+  // (with outstanding_ also zero) the pipeline may be destroyed. The
+  // decrement happens under done_mutex_, so a waiter can only see zero
+  // after this thread has released the mutex for the last time.
+  std::lock_guard<std::mutex> lk(done_mutex_);
   if (active_tasks_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lk(done_mutex_);
     done_cv_.notify_all();
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "hwstar/common/random.h"
+#include "hwstar/dur/checkpoint.h"
 #include "hwstar/dur/durable_kv_store.h"
 #include "hwstar/dur/fault_injection.h"
 #include "hwstar/dur/log_writer.h"
@@ -88,8 +89,6 @@ std::string RunTrace(uint64_t seed) {
   options.kv.index = rng.NextBounded(2) == 0 ? kv::IndexKind::kArt
                                              : kv::IndexKind::kBTree;
   options.kv.shards = 1u << rng.NextBounded(2);
-  options.log.fsync_interval_us = rng.NextBounded(20);
-  options.log.fsync_every_n = static_cast<uint32_t>(rng.NextBounded(8));
 
   auto opened = DurableKvStore::Open(&fs, "db", options);
   if (!opened.ok()) return "open failed: " + opened.status().ToString();
@@ -225,8 +224,6 @@ std::string RunTxnTrace(uint64_t seed) {
   options.kv.index = rng.NextBounded(2) == 0 ? kv::IndexKind::kArt
                                              : kv::IndexKind::kBTree;
   options.kv.shards = 1u << rng.NextBounded(2);
-  options.log.fsync_interval_us = rng.NextBounded(20);
-  options.log.fsync_every_n = static_cast<uint32_t>(rng.NextBounded(8));
 
   auto opened = DurableKvStore::Open(&fs, "db", options);
   if (!opened.ok()) return "open failed: " + opened.status().ToString();
@@ -398,6 +395,84 @@ TEST(RecoveryTest, ResumesPastGapInFreshSegment) {
   EXPECT_FALSE(store.Get(8).ok());
 }
 
+WalRecord TxnRecord(WalRecordType type, uint64_t lsn, uint64_t tid,
+                    uint64_t key, uint64_t value) {
+  WalRecord r;
+  r.type = type;
+  r.lsn = lsn;
+  r.txn = tid;
+  r.key = key;
+  r.value = value;
+  return r;
+}
+
+// Every RecoveryInfo counter on a hand-built two-shard log: records at or
+// below the checkpoint marks, a torn tail, one committed and one dropped
+// cross-shard transaction, and where each reopened writer continues.
+TEST(RecoveryTest, CountsEveryOutcomeOnTwoShardLog) {
+  InMemoryFileBackend fs;
+  constexpr uint64_t kHigh = uint64_t{1} << 63;  // shard 1's key range
+
+  CheckpointData ckpt;
+  ckpt.marks = {2, 1};
+  ckpt.entries = {{1, 10}, {2, 20}, {kHigh | 1, 11}};
+  ASSERT_TRUE(WriteCheckpoint(&fs, "db", ckpt).ok());
+
+  // Shard 0: two records under the mark; txn 7 commits (one fragment
+  // here, one in shard 1); txn 9 stages a fragment here and in shard 1,
+  // but its commit record is torn off the tail.
+  const std::string shard0 = ShardLogPrefix("db", 0);
+  WriteSegment(&fs, shard0, 0,
+               {Put(1, 1, 10), Put(2, 2, 20),
+                TxnRecord(WalRecordType::kTxnBegin, 3, 7, 0, 1),
+                TxnRecord(WalRecordType::kTxnPut, 4, 7, 3, 30),
+                TxnRecord(WalRecordType::kTxnCommit, 5, 7, 0, 2),
+                TxnRecord(WalRecordType::kTxnBegin, 6, 9, 0, 1),
+                TxnRecord(WalRecordType::kTxnPut, 7, 9, 5, 50),
+                Put(8, 4, 40)});
+  std::string torn;
+  EncodeWalRecord(TxnRecord(WalRecordType::kTxnCommit, 9, 9, 0, 2), &torn);
+  auto tail = fs.OpenForAppend(LogWriter::SegmentName(shard0, 0));
+  ASSERT_TRUE(tail.ok());
+  ASSERT_TRUE(tail.value()->Append(torn.data(), torn.size() / 2).ok());
+
+  // Shard 1: one record under the mark in a sealed segment; the rest in
+  // the next segment, ending with a plain delete.
+  const std::string shard1 = ShardLogPrefix("db", 1);
+  WriteSegment(&fs, shard1, 0, {Put(1, kHigh | 1, 11)});
+  WalRecord del;
+  del.type = WalRecordType::kDelete;
+  del.lsn = 6;
+  del.key = kHigh | 1;
+  WriteSegment(&fs, shard1, 1,
+               {TxnRecord(WalRecordType::kTxnBegin, 2, 7, 0, 1),
+                TxnRecord(WalRecordType::kTxnPut, 3, 7, kHigh | 3, 33),
+                TxnRecord(WalRecordType::kTxnBegin, 4, 9, 0, 1),
+                TxnRecord(WalRecordType::kTxnPut, 5, 9, kHigh | 5, 55), del});
+
+  kv::KvStore store;
+  auto recovered = Recover(&fs, "db", /*log_shards=*/2, &store);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  const RecoveryInfo& info = recovered.value();
+  EXPECT_TRUE(info.checkpoint_loaded);
+  EXPECT_EQ(info.checkpoint_entries, 3u);
+  EXPECT_EQ(info.records_skipped, 3u);
+  EXPECT_EQ(info.records_applied, 4u);  // txn 7 x2, put 4, delete
+  EXPECT_EQ(info.records_total(), 7u);
+  EXPECT_EQ(info.torn_shards, 1u);
+  EXPECT_EQ(info.txns_applied, 1u);
+  EXPECT_EQ(info.txns_dropped, 1u);
+  EXPECT_EQ(info.txn_fragments_dropped, 2u);
+  EXPECT_EQ(info.max_txn_id, 9u);
+  EXPECT_EQ(info.next_lsn, (std::vector<uint64_t>{9, 7}));
+  EXPECT_EQ(info.next_segment, (std::vector<uint32_t>{1, 2}));
+
+  std::vector<std::pair<uint64_t, uint64_t>> contents;
+  store.RangeScanEntries(0, ~uint64_t{0}, &contents);
+  EXPECT_EQ(contents, (std::vector<std::pair<uint64_t, uint64_t>>{
+                          {1, 10}, {2, 20}, {3, 30}, {4, 40}, {kHigh | 3, 33}}));
+}
+
 // Concurrent writers racing the injected crash: every put whose future
 // resolved OK before the crash must be present after recovery (keys are
 // writer-private, so presence with the exact value is the full contract).
@@ -412,7 +487,6 @@ TEST(CrashRecoveryPropertyTest, ConcurrentAckedPutsSurvive) {
     DurableKvOptions options;
     options.log_shards = 2;
     options.kv.shards = 2;
-    options.log.fsync_interval_us = 5;
     auto opened = DurableKvStore::Open(&fs, "db", options);
     ASSERT_TRUE(opened.ok());
     DurableKvStore* db = opened.value().get();

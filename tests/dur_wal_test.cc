@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -152,6 +153,63 @@ TEST(InMemoryBackendTest, RenameIsAtomicInstall) {
   EXPECT_EQ(fs.Rename("missing", "f").code(), StatusCode::kIoError);
 }
 
+// A backend whose real syncs take device-like time. With an instant
+// in-memory sync a leader is often done before the next writer stages, so
+// no group ever forms; with a disk-like delay, writers that stage during
+// one sync share the next one, as they do on a device.
+class SlowSyncFileBackend : public FileBackend {
+ public:
+  SlowSyncFileBackend(FileBackend* inner, std::chrono::microseconds delay)
+      : inner_(inner), delay_(delay) {}
+
+  Result<std::unique_ptr<WritableFile>> OpenForAppend(
+      const std::string& path) override {
+    auto file = inner_->OpenForAppend(path);
+    if (!file.ok()) return file.status();
+    return std::unique_ptr<WritableFile>(
+        new SlowSyncFile(std::move(file.value()), delay_));
+  }
+  Result<std::string> ReadFile(const std::string& path) override {
+    return inner_->ReadFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return inner_->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override {
+    return inner_->Remove(path);
+  }
+  bool Exists(const std::string& path) override {
+    return inner_->Exists(path);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return inner_->List(prefix);
+  }
+
+ private:
+  class SlowSyncFile : public WritableFile {
+   public:
+    SlowSyncFile(std::unique_ptr<WritableFile> inner,
+                 std::chrono::microseconds delay)
+        : inner_(std::move(inner)), delay_(delay) {}
+    Status Append(const void* data, size_t len) override {
+      return inner_->Append(data, len);
+    }
+    Status Sync(SyncMode mode) override {
+      if (mode != SyncMode::kNone) std::this_thread::sleep_for(delay_);
+      return inner_->Sync(mode);
+    }
+    Status Close() override { return inner_->Close(); }
+    uint64_t size() const override { return inner_->size(); }
+
+   private:
+    std::unique_ptr<WritableFile> inner_;
+    std::chrono::microseconds delay_;
+  };
+
+  FileBackend* inner_;
+  std::chrono::microseconds delay_;
+};
+
 TEST(LogWriterTest, SegmentNameRoundTrip) {
   const std::string name = LogWriter::SegmentName("dir/db-wal0", 42);
   EXPECT_EQ(name, "dir/db-wal0-000042.wal");
@@ -188,9 +246,9 @@ TEST(LogWriterTest, PerOpModeWritesDenseLog) {
 
 TEST(LogWriterTest, GroupCommitConcurrentWriters) {
   InMemoryFileBackend fs;
+  SlowSyncFileBackend slow(&fs, std::chrono::microseconds(100));
   LogWriterOptions opts;
-  opts.fsync_interval_us = 50;
-  auto writer = LogWriter::Open(&fs, "log", opts, 1, 0);
+  auto writer = LogWriter::Open(&slow, "log", opts, 1, 0);
   ASSERT_TRUE(writer.ok());
 
   constexpr uint32_t kThreads = 8;
@@ -228,6 +286,69 @@ TEST(LogWriterTest, GroupCommitConcurrentWriters) {
   for (uint64_t i = 0; i < kTotal; ++i) EXPECT_EQ(d.records[i].lsn, i + 1);
 }
 
+// A lone writer fills the small staging buffer many times over with no
+// other thread in the process: every full buffer must reach the segment
+// through the appender itself, and one WaitDurable must then make all of
+// it durable in one dense, clean log.
+TEST(LogWriterTest, LoneWriterBulkAppendThenOneWait) {
+  InMemoryFileBackend fs;
+  LogWriterOptions opts;
+  opts.buffer_bytes = 4096;
+  auto writer = LogWriter::Open(&fs, "log", opts, 1, 0);
+  ASSERT_TRUE(writer.ok());
+
+  constexpr uint64_t kRecords = 10000;
+  for (uint64_t i = 1; i <= kRecords; ++i) {
+    auto lsn = writer.value()->Append(Put(0, i, i * 7));
+    ASSERT_TRUE(lsn.ok());
+    ASSERT_EQ(lsn.value(), i);
+  }
+  ASSERT_TRUE(writer.value()->WaitDurable(kRecords).ok());
+  EXPECT_EQ(writer.value()->durable_lsn(), kRecords);
+  EXPECT_EQ(writer.value()->stats().records, kRecords);
+
+  // Power loss right after the wait: the synced log survives whole.
+  fs.SimulateCrash(/*seed=*/3, /*flip_bit=*/true);
+  auto data = fs.ReadFile(LogWriter::SegmentName("log", 0));
+  ASSERT_TRUE(data.ok());
+  const WalDecodeResult d = DecodeWalBuffer(data.value().data(),
+                                            data.value().size());
+  EXPECT_TRUE(d.clean);
+  ASSERT_EQ(d.records.size(), kRecords);
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(d.records[i], Put(i + 1, i + 1, (i + 1) * 7)) << "record " << i;
+  }
+}
+
+// The first sync fails while the other writers are staged behind it: the
+// leader and every follower must come back with kIoError, none may hang,
+// and nothing may be reported durable.
+TEST(LogWriterTest, SyncFailureReachesEveryWaiter) {
+  FaultPlan plan;
+  plan.fail_after_writes = 2;  // the first group's write passes, its sync fails
+  plan.mode = FaultMode::kDropWrite;
+  FaultyFileBackend faulty(plan);
+  SlowSyncFileBackend fs(&faulty, std::chrono::microseconds(2000));
+  auto writer = LogWriter::Open(&fs, "log", LogWriterOptions(), 1, 0);
+  ASSERT_TRUE(writer.ok());
+
+  constexpr uint32_t kThreads = 8;
+  std::vector<Status> results(kThreads);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      results[t] = writer.value()->AppendDurable(Put(0, t, t)).status();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[t].code(), StatusCode::kIoError) << "writer " << t;
+  }
+  EXPECT_EQ(writer.value()->durable_lsn(), 0u);
+  EXPECT_EQ(writer.value()->Append(Put(0, 99, 99)).status().code(),
+            StatusCode::kIoError);
+}
+
 TEST(LogWriterTest, RotateAndTruncate) {
   InMemoryFileBackend fs;
   auto writer = LogWriter::Open(&fs, "log", LogWriterOptions(), 1, 0);
@@ -259,7 +380,6 @@ TEST(LogWriterTest, RotateAndTruncate) {
 TEST(LogWriterTest, RotateMakesProgressUnderSustainedAppends) {
   InMemoryFileBackend fs;
   LogWriterOptions opts;
-  opts.fsync_interval_us = 20;
   auto writer = LogWriter::Open(&fs, "log", opts, 1, 0);
   ASSERT_TRUE(writer.ok());
 
@@ -350,7 +470,6 @@ TEST(CheckpointTest, CorruptionIsIoError) {
 DurableKvOptions SmallDurableOptions(uint32_t log_shards = 1) {
   DurableKvOptions o;
   o.log_shards = log_shards;
-  o.log.fsync_interval_us = 10;
   return o;
 }
 

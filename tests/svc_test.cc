@@ -404,7 +404,6 @@ TEST(ServiceTest, DurablePutsFlowThroughWalAndSurviveReopen) {
   dur::InMemoryFileBackend fs;
   dur::DurableKvOptions dopts;
   dopts.kv.shards = 4;
-  dopts.log.fsync_interval_us = 20;
   {
     auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
     ASSERT_TRUE(db.ok());
@@ -767,7 +766,6 @@ TEST(BatcherTest, MixedPutDeleteWritesGroupAndNeverSplitOnEqualKey) {
 TEST(ServiceTest, DeleteRoutesToDurableStoreAndReportsPresence) {
   dur::InMemoryFileBackend fs;
   dur::DurableKvOptions dopts;
-  dopts.log.fsync_interval_us = 5;
   auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
   ASSERT_TRUE(db.ok());
 
@@ -796,7 +794,6 @@ TEST(ServiceTest, BatchedDeletesMatchSingletonSemantics) {
   dur::InMemoryFileBackend fs;
   dur::DurableKvOptions dopts;
   dopts.kv.shards = 2;
-  dopts.log.fsync_interval_us = 5;
   auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
   ASSERT_TRUE(db.ok());
 
@@ -826,7 +823,6 @@ TEST(ServiceTest, BatchedDeletesMatchSingletonSemantics) {
 TEST(ServiceTest, TxnRequestRunsMultiKeyTransactionEndToEnd) {
   dur::InMemoryFileBackend fs;
   dur::DurableKvOptions dopts;
-  dopts.log.fsync_interval_us = 5;
   auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
   ASSERT_TRUE(db.ok());
 
@@ -877,7 +873,6 @@ TEST(ServiceTest, ConcurrentTxnIncrementsAreAtomic) {
   dur::InMemoryFileBackend fs;
   dur::DurableKvOptions dopts;
   dopts.kv.latch_free_reads = true;
-  dopts.log.fsync_interval_us = 5;
   auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(db.value()->Put(1, 0).ok());

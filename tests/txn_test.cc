@@ -19,7 +19,6 @@ using dur::InMemoryFileBackend;
 DurableKvOptions FastOptions(uint32_t log_shards = 1) {
   DurableKvOptions o;
   o.log_shards = log_shards;
-  o.log.fsync_interval_us = 5;
   return o;
 }
 
