@@ -152,15 +152,7 @@ Status DurableKvStore::MutateBatch(const WriteOp* ops, size_t count,
 
   // One commit wait per touched shard, whatever the batch size — every
   // record staged above rides the same sync.
-  const uint64_t start = NowNanos();
-  Status result = Status::OK();
-  for (size_t shard = 0; shard < logs_.size(); ++shard) {
-    if (pending[shard] == 0) continue;
-    const Status st = logs_[shard]->writer->WaitDurable(pending[shard]);
-    if (!st.ok() && result.ok()) result = st;
-  }
-  if (wal_wait_nanos != nullptr) *wal_wait_nanos = NowNanos() - start;
-  return result;
+  return WaitPending(pending, wal_wait_nanos);
 }
 
 Status DurableKvStore::CommitTxn(uint64_t tid, const WriteOp* ops,
@@ -230,6 +222,11 @@ Status DurableKvStore::CommitTxn(uint64_t tid, const WriteOp* ops,
   // of the commit record is what makes the transaction durable; fragments
   // in other shards are waited too so the ack implies the whole write-set
   // is replayable, not just provably-aborted.
+  return WaitPending(pending, wal_wait_nanos);
+}
+
+Status DurableKvStore::WaitPending(const std::vector<uint64_t>& pending,
+                                   uint64_t* wal_wait_nanos) {
   const uint64_t start = NowNanos();
   Status result = Status::OK();
   for (size_t shard = 0; shard < logs_.size(); ++shard) {

@@ -153,6 +153,12 @@ class DurableKvStore {
     return log_shift_ >= 64 ? 0 : static_cast<uint32_t>(key >> log_shift_);
   }
 
+  /// Waits until every log shard with a nonzero pending[shard] is durable
+  /// through that LSN; returns the first error and, when wal_wait_nanos
+  /// is non-null, stores the time spent waiting.
+  Status WaitPending(const std::vector<uint64_t>& pending,
+                     uint64_t* wal_wait_nanos);
+
   FileBackend* backend_;
   const std::string prefix_;
   const DurableKvOptions options_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "hwstar/common/logging.h"
-#include "hwstar/exec/affinity.h"
-#include "hwstar/hw/topology.h"
 
 namespace hwstar::exec {
 
@@ -28,19 +26,10 @@ namespace hwstar::exec {
 // still-running tasks were claimed by workers that will re-check before
 // exiting.
 
-Executor::Executor(uint32_t num_threads)
-    : Executor(ExecutorOptions{.num_threads = num_threads}) {}
-
-Executor::Executor(const ExecutorOptions& options) {
-  uint32_t num_threads = options.num_threads;
+Executor::Executor(uint32_t num_threads) {
   if (num_threads == 0) {
     unsigned hc = std::thread::hardware_concurrency();
     num_threads = hc == 0 ? 1 : hc;
-  }
-  uint32_t num_cores = 0;
-  if (options.pin_threads) {
-    num_cores = hw::DiscoverTopology().logical_cores;
-    if (num_cores == 0) num_cores = 1;
   }
   workers_.reserve(num_threads);
   for (uint32_t i = 0; i < num_threads; ++i) {
@@ -48,18 +37,7 @@ Executor::Executor(const ExecutorOptions& options) {
   }
   threads_.reserve(num_threads);
   for (uint32_t i = 0; i < num_threads; ++i) {
-    const int pin_core =
-        options.pin_threads ? static_cast<int>(i % num_cores) : -1;
-    threads_.emplace_back([this, i, pin_core] {
-      if (pin_core >= 0) {
-        Status s = PinCurrentThreadToCore(static_cast<uint32_t>(pin_core));
-        if (!s.ok()) {
-          HWSTAR_LOG(Warning) << "Executor worker " << i << " pin to core "
-                              << pin_core << " failed: " << s.ToString();
-        }
-      }
-      WorkerLoop(i);
-    });
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 

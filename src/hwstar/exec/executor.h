@@ -25,17 +25,6 @@ struct ExecutorStats {
   uint64_t failed_steals = 0;  ///< full victim scans that found nothing
 };
 
-/// Construction knobs for Executor.
-struct ExecutorOptions {
-  /// Worker count (0 = hardware concurrency).
-  uint32_t num_threads = 0;
-  /// Pin worker i to logical core (i % cores) as discovered from
-  /// hw::Topology. Pinned workers keep their caches warm and give NUMA
-  /// first-touch a stable meaning; best-effort (a failed pin is logged
-  /// and the worker runs unpinned).
-  bool pin_threads = false;
-};
-
 /// The one scheduler for all parallel work in hwstar.
 ///
 /// Each worker owns a deque: it pushes and pops at the back (LIFO,
@@ -58,7 +47,6 @@ class Executor {
 
   /// Spawns `num_threads` workers (0 means hardware concurrency).
   explicit Executor(uint32_t num_threads = 0);
-  explicit Executor(const ExecutorOptions& options);
 
   /// Calls Shutdown().
   ~Executor();

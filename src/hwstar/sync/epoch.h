@@ -33,8 +33,8 @@ namespace hwstar::sync {
 /// either); a thread sweeps its own list when it exceeds the retire
 /// batch, and attempts an epoch advance every `epoch_advance_interval`
 /// retires (both knobs live in the tune registry — epoch.retire_batch /
-/// epoch.advance_interval, published by hw::MachineModel::ApplyAll and
-/// nudged online by tune::Controller).
+/// epoch.advance_interval, published by hw::MachineModel::ApplyAll or
+/// set through svc::ServiceOptions::tunables).
 /// A thread that exits with unreclaimed retirees flushes them to a
 /// shared orphan list that other threads sweep opportunistically.
 ///

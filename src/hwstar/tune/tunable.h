@@ -18,9 +18,9 @@ namespace hwstar::tune {
 /// every knob that encodes a hardware assumption (probe group width, the
 /// AMAC footprint gate, micro-batch rows, reclamation cadence, morsel
 /// size) lives behind one of these instead of a one-off global, so it can
-/// be published from a MachineModel, re-measured by the Calibrator,
-/// nudged online by the Controller, and dumped next to metrics — all
-/// through one surface.
+/// be published from a MachineModel, re-measured by the Calibrator, set
+/// through svc config, and dumped next to metrics — all through one
+/// surface.
 ///
 /// Contract: values are *performance hints, never correctness inputs*.
 /// Get() is a single relaxed atomic load (hot paths read knobs every
@@ -61,12 +61,6 @@ class Tunable {
   /// Restores the spec default; returns it.
   uint64_t Reset() { return Set(spec_.default_value); }
 
-  /// One bounded multiplicative step (the Controller's move): doubles /
-  /// halves the current value, saturating at the spec bounds. Returns the
-  /// installed value.
-  uint64_t StepUp();
-  uint64_t StepDown();
-
   const TunableSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
 
@@ -77,7 +71,7 @@ class Tunable {
 
 /// The process-wide catalogue of tunables. Components register their
 /// knobs once (create-or-return by name, spec checked for agreement);
-/// the Calibrator, the Controller, ops snapshots and config hooks all
+/// the Calibrator, ops snapshots and config hooks all
 /// address them by name through here. Registration, lookup-by-name and
 /// dumping take a mutex — they are off the hot path; hot paths hold the
 /// Tunable* (or use the inline accessors below) and pay only the relaxed

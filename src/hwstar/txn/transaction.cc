@@ -8,17 +8,25 @@
 
 namespace hwstar::txn {
 
-TxnManager::TxnManager(dur::DurableKvStore* db, TxnOptions options)
-    : db_(db),
-      options_(options),
-      stripe_mask_(options.lock_stripes - 1),
-      stripes_(new sync::OptLock[options.lock_stripes]) {
-  HWSTAR_CHECK(options.lock_stripes >= 1 &&
-               (options.lock_stripes & (options.lock_stripes - 1)) == 0);
-}
+namespace {
+/// Validation-lock stripes (power of two). Each key hashes to one
+/// OptLock; coarser striping only raises false conflicts (aborts), never
+/// misses a real one.
+constexpr uint32_t kLockStripes = 1u << 16;
+/// Optimistic-read attempts per Get before the transaction dooms itself
+/// rather than spin on a hot stripe.
+constexpr uint32_t kGetRetryLimit = 64;
+/// TryWriteLock attempts per stripe at commit before aborting; bounded so
+/// a committer convoying on a durability wait aborts its rivals instead
+/// of stalling them.
+constexpr uint32_t kLockSpinLimit = 128;
+}  // namespace
+
+TxnManager::TxnManager(dur::DurableKvStore* db)
+    : db_(db), stripes_(new sync::OptLock[kLockStripes]) {}
 
 Transaction TxnManager::Begin() {
-  begun_.fetch_add(1, std::memory_order_relaxed);
+  begun_.Inc();
   return Transaction(this);
 }
 
@@ -26,16 +34,16 @@ uint32_t TxnManager::StripeOf(uint64_t key) const {
   // Mix64 decorrelates the range-sharded key space from the stripe table:
   // without it, TPC-C's hot district keys would all share low-entropy
   // high bits and collide into a handful of stripes.
-  return static_cast<uint32_t>(Mix64(key)) & stripe_mask_;
+  return static_cast<uint32_t>(Mix64(key)) & (kLockStripes - 1);
 }
 
 TxnStats TxnManager::stats() const {
   TxnStats s;
-  s.begun = begun_.load(std::memory_order_relaxed);
-  s.committed = committed_.load(std::memory_order_relaxed);
-  s.aborted_lock = aborted_lock_.load(std::memory_order_relaxed);
-  s.aborted_validation = aborted_validation_.load(std::memory_order_relaxed);
-  s.aborted_doomed = aborted_doomed_.load(std::memory_order_relaxed);
+  s.begun = begun_.value();
+  s.committed = committed_.value();
+  s.aborted_lock = aborted_lock_.value();
+  s.aborted_validation = aborted_validation_.value();
+  s.aborted_doomed = aborted_doomed_.value();
   return s;
 }
 
@@ -55,7 +63,7 @@ Status Transaction::Get(uint64_t key, uint64_t* value, bool* found) {
 
   const uint32_t stripe = mgr_->StripeOf(key);
   sync::OptLock& lock = mgr_->stripes_[stripe];
-  for (uint32_t attempt = 0; attempt < mgr_->options_.get_retry_limit;
+  for (uint32_t attempt = 0; attempt < kGetRetryLimit;
        ++attempt) {
     // A held stripe usually means a committer is inside its durability
     // wait (microseconds, not nanoseconds) — yield instead of burning the
@@ -103,7 +111,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
   finished_ = true;
 
   if (doomed_) {
-    mgr_->aborted_doomed_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->aborted_doomed_.Inc();
     return Status::Aborted("transaction doomed before commit");
   }
 
@@ -113,11 +121,11 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
   if (write_set_.empty()) {
     for (const auto& [stripe, version] : read_set_) {
       if (mgr_->stripes_[stripe].Version() != version) {
-        mgr_->aborted_validation_.fetch_add(1, std::memory_order_relaxed);
+        mgr_->aborted_validation_.Inc();
         return Status::Aborted("read-set validation failed");
       }
     }
-    mgr_->committed_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->committed_.Inc();
     return Status::OK();
   }
 
@@ -138,7 +146,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
   for (; acquired < lock_order.size(); ++acquired) {
     sync::OptLock& lock = mgr_->stripes_[lock_order[acquired]];
     bool locked = false;
-    for (uint32_t spin = 0; spin < mgr_->options_.lock_spin_limit; ++spin) {
+    for (uint32_t spin = 0; spin < kLockSpinLimit; ++spin) {
       if (lock.TryWriteLock()) {
         locked = true;
         break;
@@ -151,7 +159,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
     for (size_t i = 0; i < acquired; ++i) {
       mgr_->stripes_[lock_order[i]].WriteUnlockAborted();
     }
-    mgr_->aborted_lock_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->aborted_lock_.Inc();
     return Status::Aborted("write-set stripe lock timed out");
   }
 
@@ -169,7 +177,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
       for (uint32_t s : lock_order) {
         mgr_->stripes_[s].WriteUnlockAborted();
       }
-      mgr_->aborted_validation_.fetch_add(1, std::memory_order_relaxed);
+      mgr_->aborted_validation_.Inc();
       return Status::Aborted("read-set validation failed");
     }
   }
@@ -195,7 +203,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
     mgr_->stripes_[s].WriteUnlock();
   }
   if (!st.ok()) return st;  // WAL poisoned; effects applied, ack withheld
-  mgr_->committed_.fetch_add(1, std::memory_order_relaxed);
+  mgr_->committed_.Inc();
   return Status::OK();
 }
 
@@ -206,7 +214,7 @@ void Transaction::Abort() {
 }
 
 void Transaction::Reset() {
-  mgr_->begun_.fetch_add(1, std::memory_order_relaxed);
+  mgr_->begun_.Inc();
   doomed_ = false;
   finished_ = false;
   read_set_.clear();

@@ -1,7 +1,6 @@
 #ifndef HWSTAR_TXN_TRANSACTION_H_
 #define HWSTAR_TXN_TRANSACTION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,24 +9,10 @@
 
 #include "hwstar/common/status.h"
 #include "hwstar/dur/durable_kv_store.h"
+#include "hwstar/obs/metric.h"
 #include "hwstar/sync/optlock.h"
 
 namespace hwstar::txn {
-
-/// Tuning for a TxnManager.
-struct TxnOptions {
-  /// Validation-lock stripes (power of two). Each key hashes to one
-  /// OptLock; coarser striping only raises false conflicts (aborts),
-  /// never misses a real one.
-  uint32_t lock_stripes = 1u << 16;
-  /// Optimistic-read attempts per Get before the transaction dooms
-  /// itself rather than spin on a hot stripe.
-  uint32_t get_retry_limit = 64;
-  /// TryWriteLock attempts per stripe at commit before aborting; bounded
-  /// so a committer convoying on a durability wait aborts its rivals
-  /// instead of stalling them.
-  uint32_t lock_spin_limit = 128;
-};
 
 /// Why transactions aborted (and how many committed) — the abort-rate
 /// numerator bench_e21_tpcc reports.
@@ -65,7 +50,7 @@ class Transaction;
 /// crash atomicity or durability, which the WAL framing alone provides).
 class TxnManager {
  public:
-  explicit TxnManager(dur::DurableKvStore* db, TxnOptions options = {});
+  explicit TxnManager(dur::DurableKvStore* db);
 
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
@@ -79,21 +64,20 @@ class TxnManager {
   uint32_t StripeOf(uint64_t key) const;
 
   dur::DurableKvStore* db() { return db_; }
-  const TxnOptions& options() const { return options_; }
 
  private:
   friend class Transaction;
 
   dur::DurableKvStore* db_;
-  const TxnOptions options_;
-  const uint32_t stripe_mask_;
   std::unique_ptr<sync::OptLock[]> stripes_;
 
-  std::atomic<uint64_t> begun_{0};
-  std::atomic<uint64_t> committed_{0};
-  std::atomic<uint64_t> aborted_lock_{0};
-  std::atomic<uint64_t> aborted_validation_{0};
-  std::atomic<uint64_t> aborted_doomed_{0};
+  // Sharded (obs::Counter), so concurrent committers do not all bump
+  // one cache line.
+  obs::Counter begun_;
+  obs::Counter committed_;
+  obs::Counter aborted_lock_;
+  obs::Counter aborted_validation_;
+  obs::Counter aborted_doomed_;
 };
 
 /// One optimistic transaction: reads validate against stripe versions,

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "hwstar/exec/affinity.h"
 #include "hwstar/exec/executor.h"
 #include "hwstar/exec/morsel.h"
 
@@ -203,19 +202,6 @@ TEST(ExecutorTest, TasksCanSubmitTasks) {
   EXPECT_EQ(count.load(), 10);
 }
 
-TEST(ExecutorTest, PinnedWorkersRunTasks) {
-  ExecutorOptions options;
-  options.num_threads = 2;
-  options.pin_threads = true;
-  Executor pool(options);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&count](uint32_t) { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 50);
-}
-
 // --- Shutdown races -------------------------------------------------------
 // The drain handshake (submitting_/queued_ settle) is what these hammer:
 // every submit that returned true must run, even when it races Shutdown.
@@ -382,23 +368,6 @@ TEST(ParallelForTest, StaticWithFewerItemsThanThreads) {
     total.fetch_add(static_cast<int>(m.size()));
   });
   EXPECT_EQ(total.load(), 3);
-}
-
-TEST(AffinityTest, PinToCoreZeroWorksOnLinux) {
-  Status s = PinCurrentThreadToCore(0);
-#if defined(__linux__)
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_GE(CurrentCore(), 0);
-#else
-  EXPECT_EQ(s.code(), StatusCode::kUnimplemented);
-#endif
-}
-
-TEST(AffinityTest, OutOfRangeCoreRejected) {
-#if defined(__linux__)
-  Status s = PinCurrentThreadToCore(100000);
-  EXPECT_FALSE(s.ok());
-#endif
 }
 
 }  // namespace

@@ -300,10 +300,16 @@ TEST(KvStoreTest, OptimisticRangeScansRaceReadersAndWriter) {
 
 /// Property: both index kinds and several shard counts agree with
 /// std::map under a YCSB-shaped workload.
+/// gtest names each case by the param's raw bytes, so the padding after
+/// `index` is an explicit zeroed member: otherwise whatever the stack held
+/// there leaks into the test names.
 struct KvParam {
+  KvParam(IndexKind i, uint32_t s) : index(i), shards(s) {}
   IndexKind index;
+  uint8_t pad[3] = {};
   uint32_t shards;
 };
+static_assert(sizeof(KvParam) == 8, "KvParam's byte image names the tests");
 
 class KvEquivalence : public ::testing::TestWithParam<KvParam> {};
 
